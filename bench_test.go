@@ -15,6 +15,7 @@
 //	A11    BenchmarkRecoveryVsRestart
 //	A12    BenchmarkLedgerOverhead, BenchmarkHNPReattachMTTR
 //	A14    BenchmarkCadence
+//	A15    BenchmarkStepTax
 //
 // Run with: go test -bench=. -benchmem
 //
@@ -174,6 +175,76 @@ func BenchmarkNetpipeBandwidth(b *testing.B) {
 			})
 		}
 	}
+}
+
+// --- A15: idle C/R step tax --------------------------------------------------
+
+// BenchmarkStepTax is experiment A15: what an application pays per step
+// for C/R when no checkpoint is requested. Each iteration runs the same
+// stencil (64 cells/rank, 2000 steps) twice on fresh processes: once
+// through Proc.Run, whose step boundaries consult the job's frontier,
+// and once as a bare loop calling Step directly. The two runs alternate
+// within an iteration, so host drift hits both. Reported per step:
+// run-ns/step, bare-ns/step and tax-pct = (run - bare) / bare.
+func BenchmarkStepTax(b *testing.B) {
+	const steps, cells = 2000, 64
+	for _, np := range []int{2, 8, 16} {
+		b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
+			var run, bare time.Duration
+			for i := 0; i < b.N; i++ {
+				bare += stepTaxRun(b, np, steps, cells, false)
+				run += stepTaxRun(b, np, steps, cells, true)
+			}
+			perStep := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*steps) }
+			b.ReportMetric(perStep(run), "run-ns/step")
+			b.ReportMetric(perStep(bare), "bare-ns/step")
+			b.ReportMetric((perStep(run)-perStep(bare))/perStep(bare)*100, "tax-pct")
+		})
+	}
+}
+
+// stepTaxRun runs one np-rank stencil job to completion and returns its
+// wall time, either through Proc.Run or as a bare Setup+Step loop.
+func stepTaxRun(b *testing.B, np, steps, cells int, viaRun bool) time.Duration {
+	b.Helper()
+	fabric := btl.AdaptFabric(btl.NewFabric())
+	frontier := ompi.NewFrontier(np)
+	procs := make([]*ompi.Proc, np)
+	for r := range procs {
+		p, err := ompi.NewProc(ompi.Config{JobID: 1, Rank: r, Size: np, Fabric: fabric, Frontier: frontier})
+		if err != nil {
+			b.Fatal(err)
+		}
+		procs[r] = p
+	}
+	errs := make([]error, np)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for r, p := range procs {
+		wg.Add(1)
+		go func(r int, p *ompi.Proc) {
+			defer wg.Done()
+			app := &apps.StencilApp{Steps: steps, Cells: cells}
+			if viaRun {
+				errs[r] = p.Run(app, nil)
+				return
+			}
+			if errs[r] = app.Setup(p); errs[r] != nil {
+				return
+			}
+			for done := false; !done && errs[r] == nil; {
+				done, errs[r] = app.Step(p)
+			}
+		}(r, p)
+	}
+	wg.Wait()
+	el := time.Since(start)
+	for r, err := range errs {
+		if err != nil {
+			b.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return el
 }
 
 // --- A1: checkpoint latency vs number of processes ---------------------------

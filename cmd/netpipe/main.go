@@ -48,23 +48,13 @@ func run() error {
 		cfg.Reps = 200
 	}
 
-	runMode := func(m netpipe.Mode) (netpipe.Series, error) {
-		c := cfg
-		c.Mode = m
-		return netpipe.Run(c)
-	}
-	direct, err := runMode(netpipe.ModeDirect)
+	// The three modes run with their trials interleaved per size, so
+	// the overhead tables compare paired trials.
+	all, err := netpipe.RunModes(cfg, netpipe.ModeDirect, netpipe.ModeNone, netpipe.ModeBkmrk)
 	if err != nil {
 		return err
 	}
-	none, err := runMode(netpipe.ModeNone)
-	if err != nil {
-		return err
-	}
-	bkmrk, err := runMode(netpipe.ModeBkmrk)
-	if err != nil {
-		return err
-	}
+	direct, none, bkmrk := all[0], all[1], all[2]
 
 	switch *series {
 	case "latency", "bandwidth", "all":

@@ -24,6 +24,7 @@ import (
 func testWorld(t *testing.T, n int, params *mca.Params, crsComp crs.Component) ([]*Proc, []*vfs.Mem) {
 	t.Helper()
 	fabric := btl.AdaptFabric(btl.NewFabric())
+	frontier := NewFrontier(n)
 	procs := make([]*Proc, n)
 	disks := make([]*vfs.Mem, n)
 	for r := 0; r < n; r++ {
@@ -31,7 +32,7 @@ func testWorld(t *testing.T, n int, params *mca.Params, crsComp crs.Component) (
 		p, err := NewProc(Config{
 			JobID: 1, Rank: r, Size: n,
 			Node: fmt.Sprintf("n%d", r), PID: 100 + r,
-			Fabric: fabric, Params: params,
+			Fabric: fabric, Frontier: frontier, Params: params,
 			CRS: crsComp, Ins: trace.New(),
 		})
 		if err != nil {
@@ -671,6 +672,9 @@ func TestNewProcValidation(t *testing.T) {
 	}
 	if _, err := NewProc(Config{Rank: 0, Size: 1}); err == nil {
 		t.Error("NewProc accepted nil fabric")
+	}
+	if _, err := NewProc(Config{Rank: 0, Size: 2, Fabric: btl.AdaptFabric(btl.NewFabric())}); err == nil {
+		t.Error("NewProc accepted a multi-rank job without a shared frontier")
 	}
 }
 

@@ -124,13 +124,9 @@ func (p *Proc) tryRecover(cause error) error {
 	// Refuse any checkpoint directives that raced the failure: this
 	// process cannot participate while its fabric is gone, and a local
 	// coordinator must never hang on it.
-	for {
-		d := p.pendingDirective()
-		if d == nil {
-			break
-		}
-		p.refuse(d)
-	}
+	p.deadMu.Lock()
+	p.refuseQueuedLocked()
+	p.deadMu.Unlock()
 	ord, err := p.cfg.Recover(cause)
 	if err != nil {
 		if p.errhandler != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -358,6 +359,56 @@ func TestGateConcurrentStress(t *testing.T) {
 	wg.Wait()
 	if v := violations.Load(); v != 0 {
 		t.Errorf("%d protected ops observed an in-progress checkpoint", v)
+	}
+}
+
+// TestGatePendingIsNotHeld pins the §6.5 split deterministically: while
+// Begin waits for an active operation to drain, the checkpoint is
+// pending — new Enter calls block — but not in progress, so the
+// operation still inside never observes it.
+func TestGatePendingIsNotHeld(t *testing.T) {
+	g := NewGate()
+	g.Enable()
+	g.Enter() // an operation already inside the gate
+	began := make(chan error, 1)
+	go func() { began <- g.Begin() }()
+	for {
+		g.mu.Lock()
+		pending := g.pending
+		g.mu.Unlock()
+		if pending {
+			break
+		}
+		runtime.Gosched()
+	}
+	if g.InProgress() {
+		t.Fatal("InProgress is true while the checkpoint still waits for an active operation")
+	}
+	if err := g.Begin(); !errors.Is(err, ErrCheckpointActive) {
+		t.Fatalf("second Begin while pending: err = %v, want ErrCheckpointActive", err)
+	}
+	entered := make(chan struct{})
+	go func() {
+		g.Enter() // must wait out the pending and the held checkpoint
+		close(entered)
+		g.Exit()
+	}()
+	g.Exit()
+	if err := <-began; err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	if !g.InProgress() {
+		t.Fatal("InProgress is false after Begin returned")
+	}
+	select {
+	case <-entered:
+		t.Fatal("Enter proceeded while the checkpoint held the gate")
+	default:
+	}
+	g.End()
+	<-entered
+	if g.InProgress() {
+		t.Fatal("InProgress after End")
 	}
 }
 

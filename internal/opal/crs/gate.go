@@ -14,15 +14,19 @@ import (
 //
 // Application threads bracket protected operations with Enter/Exit; the
 // checkpoint notification thread brackets a checkpoint with Begin/End.
-// Begin waits for in-flight protected operations to drain, and Enter
-// blocks while a checkpoint is active, giving checkpoint-exclusion
-// without stopping threads that never touch the library.
+// A checkpoint is first pending — new Enter calls block, while
+// operations already inside finish — and then held, once they have
+// drained. Enter blocks in both states; InProgress reports only the
+// held one, so an operation that is still inside the gate never
+// observes a checkpoint. This gives checkpoint-exclusion without
+// stopping threads that never touch the library.
 type Gate struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	enabled    bool
-	inProgress bool
-	active     int // protected operations currently executing
+	mu      sync.Mutex
+	cond    *sync.Cond
+	enabled bool
+	pending bool // a Begin is waiting for active operations to drain
+	held    bool // a checkpoint owns the window
+	active  int  // protected operations currently executing
 }
 
 // Errors returned by Gate operations.
@@ -55,7 +59,7 @@ func (g *Gate) Enable() {
 // tears the library down under a running snapshot.
 func (g *Gate) Disable() {
 	g.mu.Lock()
-	for g.inProgress {
+	for g.pending || g.held {
 		g.cond.Wait()
 	}
 	g.enabled = false
@@ -70,10 +74,10 @@ func (g *Gate) Enabled() bool {
 }
 
 // Enter marks the start of a protected library operation, blocking while
-// a checkpoint is in progress.
+// a checkpoint is pending or held.
 func (g *Gate) Enter() {
 	g.mu.Lock()
-	for g.inProgress {
+	for g.pending || g.held {
 		g.cond.Wait()
 	}
 	g.active++
@@ -93,40 +97,45 @@ func (g *Gate) Exit() {
 }
 
 // Begin claims the gate for a checkpoint: it fails fast if checkpointing
-// is disabled or already in progress, then waits for active protected
-// operations to drain. On success the caller owns the checkpoint window
-// and must call End.
+// is disabled or another checkpoint is pending or held, marks the
+// checkpoint pending (so no new protected operation starts), waits for
+// active protected operations to drain, and only then holds the window.
+// On success the caller owns the checkpoint window and must call End.
 func (g *Gate) Begin() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.enabled {
 		return ErrCheckpointDisabled
 	}
-	if g.inProgress {
+	if g.pending || g.held {
 		return ErrCheckpointActive
 	}
-	g.inProgress = true
+	g.pending = true
 	for g.active > 0 {
 		g.cond.Wait()
 	}
+	g.pending = false
+	g.held = true
 	return nil
 }
 
 // End releases the checkpoint window and wakes blocked threads.
 func (g *Gate) End() {
 	g.mu.Lock()
-	if !g.inProgress {
+	if !g.held {
 		g.mu.Unlock()
 		panic("crs: Gate.End without matching Begin")
 	}
-	g.inProgress = false
+	g.held = false
 	g.cond.Broadcast()
 	g.mu.Unlock()
 }
 
-// InProgress reports whether a checkpoint currently owns the gate.
+// InProgress reports whether a checkpoint currently holds the gate. A
+// checkpoint still waiting for active operations to drain is pending,
+// not in progress.
 func (g *Gate) InProgress() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.inProgress
+	return g.held
 }

@@ -366,6 +366,9 @@ func (j *Job) CompleteRecovery(fab btl.JobFabric, interval int, sources map[int]
 			p.FenceDirectives(fence)
 		}
 	}
+	// Every rank is parked: the rebuilt job's boundaries count from zero
+	// in a fresh frontier generation.
+	j.frontier.Reset()
 	seen := make(map[string]bool)
 	j.nodes = nil
 	for r := 0; r < j.spec.NP; r++ {

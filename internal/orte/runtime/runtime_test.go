@@ -421,7 +421,11 @@ func TestSynchronousCheckpointThroughRuntime(t *testing.T) {
 	if err := job.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	// The synchronous request produced a global snapshot.
+	// The inline participation counted as served: nothing stays armed.
+	if job.frontier.Pending() {
+		t.Error("inline checkpoint left the job's frontier armed")
+	}
+	// Wait joined the synchronous request: its interval is committed.
 	ref := snapshot.GlobalRef{FS: c.Stable(), Dir: snapshot.GlobalDirName(int(job.JobID()))}
 	meta, err := snapshot.ReadGlobal(ref, 0)
 	if err != nil {
