@@ -457,6 +457,21 @@ func (e *Endpoint) RecvJSONTimeout(tag Tag, v any, timeout time.Duration) (names
 	return m.From, nil
 }
 
+// TryRecvJSON is RecvJSON without the wait: ok is false when no message
+// under tag is queued.
+func (e *Endpoint) TryRecvJSON(tag Tag, v any) (ok bool, err error) {
+	e.mu.Lock()
+	m, ok := e.matchLocked(tag, nil)
+	e.mu.Unlock()
+	if !ok {
+		return false, nil
+	}
+	if err := json.Unmarshal(m.Data, v); err != nil {
+		return true, fmt.Errorf("rml: unmarshal tag %d from %v: %w", tag, m.From, err)
+	}
+	return true, nil
+}
+
 // Pending returns the number of queued, unreceived messages.
 func (e *Endpoint) Pending() int {
 	e.mu.Lock()

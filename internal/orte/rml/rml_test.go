@@ -142,6 +142,39 @@ func TestRecvTimeout(t *testing.T) {
 	}
 }
 
+func TestTryRecvJSONDoesNotWait(t *testing.T) {
+	_, hnp, orted := pair(t)
+	var v struct{ N int }
+	if ok, err := hnp.TryRecvJSON(TagHeartbeat, &v); ok || err != nil {
+		t.Fatalf("empty mailbox: ok=%v err=%v", ok, err)
+	}
+	for i := 1; i <= 2; i++ {
+		if err := orted.SendJSON(names.HNP, TagHeartbeat, struct{ N int }{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := orted.Send(names.HNP, TagUser, []byte("other tag")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if ok, err := hnp.TryRecvJSON(TagHeartbeat, &v); !ok || err != nil || v.N != i {
+			t.Fatalf("queued message %d: ok=%v err=%v v=%+v", i, ok, err, v)
+		}
+	}
+	if ok, _ := hnp.TryRecvJSON(TagHeartbeat, &v); ok {
+		t.Fatal("drained tag still yields a message")
+	}
+	if err := orted.Send(names.HNP, TagHeartbeat, []byte("{")); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := hnp.TryRecvJSON(TagHeartbeat, &v); !ok || err == nil {
+		t.Fatalf("malformed message: ok=%v err=%v", ok, err)
+	}
+	if hnp.Pending() != 1 {
+		t.Fatalf("pending = %d, want the other tag's message", hnp.Pending())
+	}
+}
+
 func TestSendToUnknownPeer(t *testing.T) {
 	_, hnp, _ := pair(t)
 	err := hnp.Send(names.Proc(9, 9), TagUser, nil)

@@ -140,3 +140,15 @@ func TestBatchedHeartbeatPump(t *testing.T) {
 		t.Fatalf("job failed under batched heartbeats: %v", err)
 	}
 }
+
+// TestDetectWindowFloor: a configured detection window shorter than the
+// scheduler can honor on a busy host is raised to minDetectWindow;
+// longer ones are kept.
+func TestDetectWindowFloor(t *testing.T) {
+	if got := detectWindow(2*time.Millisecond, 4); got != minDetectWindow {
+		t.Errorf("2ms x 4: window = %v, want %v", got, minDetectWindow)
+	}
+	if got := detectWindow(15*time.Millisecond, 20); got != 300*time.Millisecond {
+		t.Errorf("15ms x 20: window = %v, want 300ms", got)
+	}
+}

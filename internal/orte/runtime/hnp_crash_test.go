@@ -369,3 +369,26 @@ func TestHealthReflectsHeadlessAndLedger(t *testing.T) {
 	}
 	_ = job.Wait()
 }
+
+// TestReattachRightAfterCrash issues Reattach the moment Headless
+// reports true while the crash is still finishing on another goroutine,
+// as when the drain engine's crash hook fires it. The HNP endpoint must
+// already be gone, so the re-registration always succeeds.
+func TestReattachRightAfterCrash(t *testing.T) {
+	c := fourNodeCluster(t, crashParams(""))
+	for i := 0; i < 20; i++ {
+		crashed := make(chan struct{})
+		go func() {
+			defer close(crashed)
+			_ = c.CrashHNP(errors.New("injected"))
+		}()
+		for !c.Headless() {
+			time.Sleep(10 * time.Microsecond)
+		}
+		_, err := c.Reattach()
+		<-crashed
+		if err != nil {
+			t.Fatalf("cycle %d: Reattach: %v", i, err)
+		}
+	}
+}

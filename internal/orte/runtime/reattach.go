@@ -96,7 +96,7 @@ func (c *Cluster) Reattach() (ReattachReport, error) {
 	// interval; a node silent through the deadline died unnoticed while
 	// nobody was watching and is declared down now.
 	timeout := c.params.Duration("hnp_reattach_timeout",
-		2*time.Duration(c.hbMiss)*c.hbInterval)
+		2*detectWindow(c.hbInterval, c.hbMiss))
 	deadline := time.Now().Add(timeout)
 	for {
 		missing := c.silentSince(reattachedAt)

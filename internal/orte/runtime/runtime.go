@@ -553,11 +553,24 @@ func (c *Cluster) heartbeatLoop(node string, ep *rml.Endpoint, interval time.Dur
 	}
 }
 
+// minDetectWindow is the shortest silence the failure detector charges
+// to a node. Go preempts a running goroutine only after about 10 ms, so
+// on a busy host a runnable beacon goroutine can wait that long before
+// it sends, and the detector as long again before it reads the beacon;
+// a shorter window declares healthy nodes dead.
+const minDetectWindow = 25 * time.Millisecond
+
+// detectWindow is the silence after which a node is declared lost:
+// miss heartbeat intervals, raised to minDetectWindow.
+func detectWindow(interval time.Duration, miss int) time.Duration {
+	return max(time.Duration(miss)*interval, minDetectWindow)
+}
+
 // monitorLoop is the HNP's failure detector: it consumes heartbeats and
-// declares a node lost once it misses `miss` consecutive intervals. The
-// declaration is what the rest of the runtime keys off — the HNP never
-// hears about a death directly, exactly like a real mpirun watching its
-// orted connections go quiet.
+// declares a node lost once it misses `miss` consecutive intervals
+// (never sooner than minDetectWindow). The declaration is what the rest
+// of the runtime keys off — the HNP never hears about a death directly,
+// exactly like a real mpirun watching its orted connections go quiet.
 func (c *Cluster) monitorLoop(ep *rml.Endpoint, interval time.Duration, miss int) {
 	defer c.wg.Done()
 	if miss <= 0 {
@@ -570,27 +583,33 @@ func (c *Cluster) monitorLoop(ep *rml.Endpoint, interval time.Duration, miss int
 		lastSeen[n] = start
 	}
 	lastScan := start
+	window := detectWindow(interval, miss)
 	for {
 		var hb heartbeat
 		_, err := ep.RecvJSONTimeout(rml.TagHeartbeat, &hb, interval)
 		now := time.Now()
-		switch {
-		case err == nil && len(hb.Batch) > 0:
+		if err != nil && !errors.Is(err, rml.ErrTimeout) {
+			return // endpoint closed: cluster is shutting down
+		}
+		// Credit every queued beacon before the scan, not just the first:
+		// when the detector falls behind its senders (CPU
+		// oversubscription), beacons wait in its mailbox, and a node
+		// whose beat is queued behind others' is alive.
+		for got := err == nil; got; {
 			c.hbMu.Lock()
+			if len(hb.Batch) == 0 {
+				lastSeen[hb.Node] = now
+				c.lastBeat[hb.Node] = now
+			}
 			for _, b := range hb.Batch {
 				lastSeen[b.Node] = now
 				c.lastBeat[b.Node] = now
 			}
 			c.hbMu.Unlock()
-		case err == nil:
-			lastSeen[hb.Node] = now
-			c.hbMu.Lock()
-			c.lastBeat[hb.Node] = now
-			c.hbMu.Unlock()
-		case errors.Is(err, rml.ErrTimeout):
-			// quiet interval; fall through to the scan
-		default:
-			return // endpoint closed: cluster is shutting down
+			hb = heartbeat{}
+			if got, err = ep.TryRecvJSON(rml.TagHeartbeat, &hb); err != nil {
+				return
+			}
 		}
 		// If the detector itself stalled (descheduled, GC pause), it could
 		// not have observed beacons sent meanwhile; charging that silence
@@ -602,7 +621,7 @@ func (c *Cluster) monitorLoop(ep *rml.Endpoint, interval time.Duration, miss int
 			}
 		}
 		lastScan = now
-		cutoff := now.Add(-time.Duration(miss) * interval)
+		cutoff := now.Add(-window)
 		if c.hbBatch {
 			// In batch mode one message carries every live node's beat,
 			// so individual liveness is relative: a dead node is one
@@ -720,6 +739,9 @@ func (c *Cluster) CrashHNP(cause error) error {
 	c.headlessCause = cause
 	c.crashedAt = time.Now()
 	drainer := c.drainer
+	// The endpoint goes with the headless flag, under the same lock, so
+	// a Reattach that sees the HNP down can always re-register it.
+	c.router.Deregister(names.HNP) // monitorLoop exits; heartbeats bounce
 	c.mu.Unlock()
 	// Dying gasp: the crash marker may or may not land on the ledger;
 	// nothing downstream depends on it (Reattach reconstructs from the
@@ -728,7 +750,6 @@ func (c *Cluster) CrashHNP(cause error) error {
 	if c.led != nil {
 		_ = c.led.Append(ledger.TypeHNPCrashed, 0, ledger.CrashEvent{Cause: fmt.Sprint(cause)})
 	}
-	c.router.Deregister(names.HNP) // monitorLoop exits; heartbeats bounce
 	drainer.Crash(cause)
 	c.ins.Gauge("ompi_hnp_headless").Set(1)
 	c.ins.Counter("ompi_hnp_crashes_total").Inc()
